@@ -1,0 +1,6 @@
+"""The IReS benchmark: four workloads, end-to-end and per-layer metrics.
+
+Run it with ``python3 perfbench/run.py --workload <name> --seed <n>
+--seconds <s> --trace <0|1>`` from the repository root; see
+``perfbench/README.md`` for the workloads and the layer-to-metric map.
+"""
