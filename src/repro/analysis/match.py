@@ -23,28 +23,21 @@ def first_divergence(required: MetadataTree, provided: MetadataTree,
                      prefix: str = "Constraints") -> str | None:
     """The first dotted key where ``provided`` fails ``required.matches``.
 
-    Mirrors :meth:`MetadataTree.matches` (sorted-label walk), but instead
-    of a boolean returns ``"key: required X, found Y"`` for the earliest
-    divergence — or ``None`` when the trees match.
+    Formats :meth:`MetadataTree.divergence` as ``"key: required X, found
+    Y"`` for the earliest divergence — or ``None`` when the trees match.
     """
-    if required.is_leaf:
-        if required.value is None or required.value == WILDCARD:
-            return None
-        if provided.is_leaf:
-            if provided.value == WILDCARD or provided.value == required.value:
-                return None
-            return (f"{prefix}: required {required.value!r}, "
-                    f"found {provided.value!r}")
-        return f"{prefix}: required leaf {required.value!r}, found a subtree"
-    for label, child in required.children():
-        path = f"{prefix}.{label}"
-        other = provided.node(label)
-        if other is None:
-            return f"{path}: required but missing"
-        divergence = first_divergence(child, other, path)
-        if divergence is not None:
-            return divergence
-    return None
+    path = required.divergence(provided)
+    if path is None:
+        return None
+    key = ".".join((prefix, *path))
+    dotted = ".".join(path)
+    want = required.get(dotted) if path else required.value
+    found = provided.node(dotted) if path else provided
+    if found is None:
+        return f"{key}: required but missing"
+    if not found.is_leaf:
+        return f"{key}: required leaf {want!r}, found a subtree"
+    return f"{key}: required {want!r}, found {found.value!r}"
 
 
 def explain_near_miss(abstract_metadata: MetadataTree,

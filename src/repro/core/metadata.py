@@ -171,6 +171,29 @@ class MetadataTree:
         return clone
 
     # -- matching ----------------------------------------------------------
+    def divergence(self, other: "MetadataTree") -> tuple[str, ...] | None:
+        """The first path where ``other`` fails this pattern, or None.
+
+        The one-pass sorted walk behind :meth:`matches`: the labels from
+        this node down to the first required node that ``other`` lacks or
+        contradicts, ``()`` when this node itself is the divergence.
+        """
+        if self.is_leaf:
+            if self.value is None or self.value == WILDCARD:
+                return None
+            if other.is_leaf and (other.value == WILDCARD
+                                  or other.value == self.value):
+                return None
+            return ()
+        for label, required in self.children():
+            provided = other._children.get(label)
+            if provided is None:
+                return (label,)
+            path = required.divergence(provided)
+            if path is not None:
+                return (label, *path)
+        return None
+
     def matches(self, other: "MetadataTree") -> bool:
         """One-pass subsumption match: does ``other`` satisfy this pattern?
 
@@ -180,19 +203,7 @@ class MetadataTree:
         carry arbitrarily more fields.  Complexity is O(t) thanks to the
         sorted merge over child labels.
         """
-        if self.is_leaf:
-            if self.value is None or self.value == WILDCARD:
-                return True
-            if other.is_leaf:
-                return other.value == WILDCARD or other.value == self.value
-            return False
-        for label, required in self.children():
-            provided = other._children.get(label)
-            if provided is None:
-                return False
-            if not required.matches(provided):
-                return False
-        return True
+        return self.divergence(other) is None
 
     def consistent_with(self, other: "MetadataTree") -> bool:
         """Symmetric consistency: all *shared* leaves agree (wildcards pass).

@@ -21,7 +21,13 @@ import numpy as np
 from repro.core.dataset import Dataset
 from repro.core.library import OperatorLibrary
 from repro.core.operators import MaterializedOperator
-from repro.core.planner import CostEstimator, MetadataCostEstimator, PlanningError
+from repro.core.planner import (
+    CostEstimator,
+    PlanningError,
+    _DynamicProgram,
+    _Entry,
+)
+from repro.core.provenance import PlanProvenance
 from repro.core.workflow import AbstractWorkflow, MaterializedPlan, PlanStep
 
 INFEASIBLE = float("inf")
@@ -49,44 +55,15 @@ def prune_frontier(entries: list["_ParetoEntry"], max_size: int) -> list["_Paret
     return [kept[i] for i in sorted(set(idx.tolist()))]
 
 
-class _ParetoEntry:
+class _ParetoEntry(_Entry):
     """One frontier point: a dataset format, a metric vector, a plan DAG."""
 
-    __slots__ = ("dataset", "metrics", "step", "parents")
+    __slots__ = ()
 
-    def __init__(
-        self,
-        dataset: Dataset,
-        metrics: tuple[float, ...],
-        step: PlanStep | None = None,
-        parents: tuple["_ParetoEntry", ...] = (),
-    ) -> None:
-        self.dataset = dataset
-        self.metrics = metrics
-        self.step = step
-        self.parents = parents
-
-    def collect_steps(self) -> list[PlanStep]:
-        """Topologically ordered, deduplicated steps of this entry's plan."""
-        seen: set[int] = set()
-        ordered: list[PlanStep] = []
-
-        def visit(entry: "_ParetoEntry") -> None:
-            if id(entry) in seen:
-                return
-            seen.add(id(entry))
-            for parent in entry.parents:
-                visit(parent)
-            if entry.step is not None:
-                ordered.append(entry.step)
-
-        visit(self)
-        unique, emitted = [], set()
-        for step in ordered:
-            if id(step) not in emitted:
-                emitted.add(id(step))
-                unique.append(step)
-        return unique
+    @property
+    def metrics(self) -> tuple[float, ...]:
+        """The metric vector (the entry's cost)."""
+        return self.cost
 
 
 class ParetoPlan(MaterializedPlan):
@@ -98,8 +75,13 @@ class ParetoPlan(MaterializedPlan):
         self.metrics = metrics
 
 
-class ParetoPlanner:
-    """Multi-objective variant of Algorithm 1 returning a plan frontier."""
+class ParetoPlanner(_DynamicProgram):
+    """Multi-objective variant of Algorithm 1 returning a plan frontier.
+
+    It runs the planner's DP; only what a dpTable slot keeps differs: the
+    frontier of entries per dataset signature instead of the cheapest one,
+    and the product of input choices instead of the best per input.
+    """
 
     def __init__(
         self,
@@ -111,11 +93,10 @@ class ParetoPlanner:
     ) -> None:
         if len(metrics) < 2:
             raise ValueError("Pareto planning needs at least two metrics")
-        self.library = library
-        self.estimator = estimator if estimator is not None else MetadataCostEstimator()
+        super().__init__(library, estimator, allow_moves)
         self.metrics = tuple(metrics)
         self.max_frontier = max_frontier
-        self.allow_moves = allow_moves
+        self._zeros = tuple(0.0 for _ in self.metrics)
 
     # -- public ----------------------------------------------------------
     def plan_frontier(
@@ -125,20 +106,8 @@ class ParetoPlanner:
     ) -> list[ParetoPlan]:
         """All Pareto-optimal plans for the workflow's target dataset."""
         workflow.validate()
-        dp: dict[str, dict[tuple, list[_ParetoEntry]]] = {}
-        zeros = tuple(0.0 for _ in self.metrics)
-        for name, dataset in workflow.datasets.items():
-            if dataset.materialized:
-                dp[name] = {dataset.signature(): [_ParetoEntry(dataset, zeros)]}
-
-        for abstract_op in workflow.topological_operators():
-            in_names = workflow.op_inputs[abstract_op.name]
-            out_names = workflow.op_outputs[abstract_op.name]
-            matches = self.library.find_materialized(abstract_op, available_engines)
-            for mat_op in matches:
-                self._consider(dp, workflow, abstract_op.name, mat_op,
-                               in_names, out_names)
-
+        dp = self._seed(workflow, {})
+        self._expand(dp, workflow, available_engines, {})
         target_slots = dp.get(workflow.target)
         if not target_slots:
             raise PlanningError(
@@ -153,115 +122,66 @@ class ParetoPlanner:
             plans.append(ParetoPlan(workflow, entry.collect_steps(), metrics))
         return plans
 
-    # -- internals ---------------------------------------------------------
-    def _vector(self, metrics: dict[str, float]) -> tuple[float, ...] | None:
+    # -- cost algebra: metric vectors ------------------------------------
+    def _price(self, metrics: dict[str, float]) -> tuple[float, ...] | None:
         values = tuple(float(metrics.get(m, INFEASIBLE)) for m in self.metrics)
         if any(v == INFEASIBLE for v in values):
             return None
         return values
 
-    @staticmethod
-    def _add(a: tuple[float, ...], b: tuple[float, ...]) -> tuple[float, ...]:
+    def _add(self, a: tuple[float, ...], b: tuple[float, ...]) -> tuple[float, ...]:
         return tuple(x + y for x, y in zip(a, b))
 
-    def _input_options(
-        self, entries: list[_ParetoEntry], mat_op: MaterializedOperator,
-        i: int,
-    ) -> list[_ParetoEntry]:
-        """Frontier of ways to provide input ``i`` (direct or via a move)."""
-        options: list[_ParetoEntry] = []
-        for entry in entries:
-            if mat_op.accepts_input(entry.dataset, i):
-                options.append(entry)
-            elif self.allow_moves:
-                moved = self._move(entry, mat_op, i)
-                if moved is not None:
-                    options.append(moved)
-        return prune_frontier(options, self.max_frontier)
+    def _estimate(self, cost: tuple[float, ...]) -> float:
+        return cost[0]
 
-    def _move(self, entry: _ParetoEntry, mat_op: MaterializedOperator,
-              i: int) -> "_ParetoEntry | None":
-        spec = mat_op.input_spec(i)
-        if spec.is_leaf:
-            return None
-        src = entry.dataset
-        dst_store = spec.get("Engine.FS") or spec.get("Engine") or mat_op.engine
-        move_vec = self._vector(
-            self.estimator.move_metrics(src, src.store, dst_store))
-        if move_vec is None:
-            return None
-        moved = Dataset(src.name, src.metadata.copy())
-        for path, value in spec.leaves():
-            moved.metadata.set(f"Constraints.{path}", value)
-        if not mat_op.accepts_input(moved, i):
-            return None
-        from repro.core.operators import MoveOperator
-
-        move_op = MoveOperator(src.store or "unknown", dst_store or "unknown",
-                               src.fmt, moved.fmt)
-        step = PlanStep(operator=move_op, inputs=(src,), outputs=(moved,),
-                        estimated_cost=move_vec[0])
-        return _ParetoEntry(moved, self._add(entry.metrics, move_vec),
-                            step, (entry,))
+    def _origin(self, dataset: Dataset) -> list[_ParetoEntry]:
+        return [_ParetoEntry(dataset, self._zeros)]
 
     def _consider(
         self,
-        dp: dict[str, dict[str, list[_ParetoEntry]]],
+        dp: dict[str, dict[tuple, list[_ParetoEntry]]],
         workflow: AbstractWorkflow,
         abstract_name: str,
         mat_op: MaterializedOperator,
         in_names: list[str],
         out_names: list[str],
+        prov: PlanProvenance | None = None,
     ) -> None:
-        # frontier of input combinations, built incrementally with pruning
-        combos: list[tuple[tuple[float, ...], tuple[_ParetoEntry, ...]]] = [
-            (tuple(0.0 for _ in self.metrics), ())
-        ]
+        # frontier of input combinations, built incrementally with pruning;
+        # a combination is an entry without a dataset whose parents are the
+        # chosen inputs
+        combos = [_ParetoEntry(None, self._zeros)]  # type: ignore[arg-type]
         for i, in_name in enumerate(in_names):
             slots = dp.get(in_name)
             if not slots:
                 return
-            options = self._input_options(
-                [e for entries in slots.values() for e in entries], mat_op, i)
+            options = prune_frontier(list(self._options(
+                (e for entries in slots.values() for e in entries), mat_op,
+                mat_op.input_spec(i))), self.max_frontier)
             if not options:
                 return
-            extended = [
-                (self._add(vec, opt.metrics), parents + (opt,))
-                for vec, parents in combos
-                for opt in options
-            ]
             # prune combined partial vectors to keep the product bounded
-            wrapped = [
-                _ParetoEntry(None, vec, None, parents)  # type: ignore[arg-type]
-                for vec, parents in extended
-            ]
-            pruned = prune_frontier(wrapped, self.max_frontier)
-            combos = [(e.metrics, e.parents) for e in pruned]
+            combos = prune_frontier([
+                _ParetoEntry(None, self._add(combo.metrics, opt.metrics),  # type: ignore[arg-type]
+                             None, combo.parents + (opt,))
+                for combo in combos
+                for opt in options
+            ], self.max_frontier)
 
-        for vec, parents in combos:
-            input_datasets = [p.dataset for p in parents]
-            op_vec = self._vector(
-                self.estimator.operator_metrics(mat_op, input_datasets))
+        for combo in combos:
+            input_datasets = [p.dataset for p in combo.parents]
+            metrics = self.estimator.operator_metrics(mat_op, input_datasets)
+            op_vec = self._price(metrics)
             if op_vec is None:
                 continue
-            total = self._add(vec, op_vec)
-            outputs = []
-            out_size = self.estimator.output_size(mat_op, input_datasets)
-            out_count = self.estimator.output_count(mat_op, input_datasets)
-            for i, out_name in enumerate(out_names):
-                out_ds = mat_op.output_for(workflow.datasets[out_name], i)
-                out_ds.size = out_size
-                out_ds.count = out_count
-                outputs.append(out_ds)
-            step = PlanStep(
-                operator=mat_op, inputs=tuple(input_datasets),
-                outputs=tuple(outputs), estimated_cost=op_vec[0],
-                abstract_name=abstract_name,
-            )
-            entry_parents = tuple(parents)
-            for out_ds in outputs:
+            total = self._add(combo.metrics, op_vec)
+            step = self._step(workflow, abstract_name, mat_op, input_datasets,
+                              out_names, metrics, op_vec)
+            for out_ds in step.outputs:
                 slot = dp.setdefault(out_ds.name, {})
-                entries = slot.setdefault(out_ds.signature(), [])
-                entries.append(_ParetoEntry(out_ds, total, step, entry_parents))
-                slot[out_ds.signature()] = prune_frontier(
-                    entries, self.max_frontier)
+                key = out_ds.signature()
+                slot[key] = prune_frontier(
+                    slot.get(key, []) + [
+                        _ParetoEntry(out_ds, total, step, combo.parents)],
+                    self.max_frontier)

@@ -19,7 +19,7 @@ Worst-case complexity is ``O(op · m² · k)`` for ``op`` abstract operators,
 from __future__ import annotations
 
 import time
-from typing import Protocol, Sequence
+from typing import Any, Iterable, Iterator, Protocol, Sequence
 
 from repro.core.dataset import Dataset
 from repro.core.library import MatchStats, MatchTotals, OperatorLibrary
@@ -138,9 +138,11 @@ class MetadataCostEstimator:
 class _Entry:
     """One dpTable record: a dataset in a concrete format plus how to get it.
 
-    ``step`` is the final step producing the dataset (None for materialized
-    sources); ``parents`` are the entries whose plans feed it.  The full plan
-    is reconstructed by walking this DAG.
+    ``cost`` is what the planner accumulates along the plan: a scalar for
+    :class:`Planner`, a metric vector for the Pareto planner.  ``step`` is
+    the final step producing the dataset (None for materialized sources);
+    ``parents`` are the entries whose plans feed it.  The full plan is
+    reconstructed by walking this DAG.
     """
 
     __slots__ = ("dataset", "cost", "step", "parents", "constraints")
@@ -148,7 +150,7 @@ class _Entry:
     def __init__(
         self,
         dataset: Dataset,
-        cost: float,
+        cost: Any,
         step: PlanStep | None = None,
         parents: tuple["_Entry", ...] = (),
     ) -> None:
@@ -156,10 +158,12 @@ class _Entry:
         self.cost = cost
         self.step = step
         self.parents = parents
-        # the _consider inner loop checks this node against every candidate's
+        # the _options inner loop checks this node against every candidate's
         # input spec; resolving it once here keeps the per-candidate cost to
-        # a single consistent_with walk
-        self.constraints = dataset.metadata.node("Constraints")
+        # a single consistent_with walk (the Pareto planner's partial input
+        # combinations carry no dataset)
+        self.constraints = (None if dataset is None
+                            else dataset.metadata.node("Constraints"))
 
     def collect_steps(self) -> list[PlanStep]:
         """Topologically ordered, deduplicated steps of this entry's plan."""
@@ -186,7 +190,192 @@ class _Entry:
         return unique
 
 
-class Planner:
+class _DynamicProgram:
+    """The parts of Algorithm 1 that :class:`Planner` and the Pareto planner
+    share: dpTable seeding, the topological expansion, input resolution
+    with move synthesis, and step construction.
+
+    The defaults accumulate a scalar cost.  A subclass decides how metrics
+    price an entry (:meth:`_price`), and what one dpTable slot keeps
+    (:meth:`_origin` seeds it, :meth:`_consider` updates it).
+    """
+
+    use_index = True
+    tracer: Tracer = NULL_TRACER
+
+    def __init__(self, library: OperatorLibrary,
+                 estimator: CostEstimator | None, allow_moves: bool) -> None:
+        self.library = library
+        self.estimator = estimator if estimator is not None else MetadataCostEstimator()
+        self.allow_moves = allow_moves
+        self._move_ops: dict[tuple, MoveOperator] = {}
+
+    # -- cost algebra (scalar by default) --------------------------------
+    def _price(self, metrics: dict[str, float]) -> Any:
+        """An entry cost for these metrics, or None when infeasible."""
+        raise NotImplementedError
+
+    def _add(self, a: Any, b: Any) -> Any:
+        return a + b
+
+    def _estimate(self, cost: Any) -> float:
+        """The ``estimated_cost`` a step of this cost reports."""
+        return cost
+
+    def _origin(self, dataset: Dataset) -> Any:
+        """The dpTable slot value of a materialized input."""
+        return _Entry(dataset, 0.0)
+
+    def _consider(self, dp: dict, workflow: AbstractWorkflow,
+                  abstract_name: str, mat_op: MaterializedOperator,
+                  in_names: list[str], out_names: list[str],
+                  prov: PlanProvenance | None = None) -> None:
+        """Evaluate one materialized candidate (inner loop of Algorithm 1)."""
+        raise NotImplementedError
+
+    # -- Algorithm 1 -----------------------------------------------------
+    def _seed(self, workflow: AbstractWorkflow,
+              materialized_results: dict[str, Dataset]) -> dict[str, dict]:
+        """Initialize the dpTable with materialized inputs (lines 5-10)."""
+        dp: dict[str, dict] = {}
+        for name, dataset in workflow.datasets.items():
+            if name in materialized_results:
+                dataset = materialized_results[name]
+            elif not dataset.materialized:
+                continue
+            dp[name] = {dataset.signature(): self._origin(dataset)}
+        return dp
+
+    def _expand(self, dp: dict[str, dict], workflow: AbstractWorkflow,
+                available_engines: set[str] | None,
+                materialized_results: dict[str, Dataset],
+                prov: PlanProvenance | None = None) -> int:
+        """Expand every operator in DAG topological order (line 11 onwards).
+
+        Returns the number of abstract operators expanded.
+        """
+        tracer = self.tracer
+        expansions = 0
+        totals = MatchTotals()
+        for abstract_op in workflow.topological_operators():
+            in_names = workflow.op_inputs[abstract_op.name]
+            out_names = workflow.op_outputs[abstract_op.name]
+            if all(n in materialized_results for n in out_names):
+                continue  # already computed before a failure; nothing to plan
+            expansions += 1
+            if not tracer.enabled:
+                matches = self.library.find_materialized(
+                    abstract_op, available_engines, use_index=self.use_index,
+                    totals=totals,
+                )
+                for mat_op in matches:
+                    self._consider(dp, workflow, abstract_op.name, mat_op,
+                                   in_names, out_names, prov)
+                continue
+            stats = MatchStats()
+            with tracer.span(f"expand:{abstract_op.name}", category="planner",
+                             operator=abstract_op.name) as op_span:
+                matches = self.library.find_materialized(
+                    abstract_op, available_engines, use_index=self.use_index,
+                    stats=stats, totals=totals,
+                )
+                for mat_op in matches:
+                    self._consider(dp, workflow, abstract_op.name, mat_op,
+                                   in_names, out_names, prov)
+                op_span.set_attribute("candidates_matched", stats.matched)
+                op_span.set_attribute("pruned_by_index", stats.pruned_by_index)
+                op_span.set_attribute("engine_filtered", stats.engine_filtered)
+                op_span.set_attribute("tree_rejected", stats.tree_rejected)
+                op_span.set_attribute("dp_datasets", len(dp))
+        totals.flush()
+        _EXPANSIONS.inc(expansions)
+        return expansions
+
+    def _options(self, entries: Iterable[_Entry], mat_op: MaterializedOperator,
+                 spec: MetadataTree) -> Iterator[_Entry]:
+        """Every way to feed an input with this ``spec`` from dpTable
+        entries: an entry as-is, or through a synthesized move."""
+        for entry in entries:
+            if entry.constraints is None or spec.consistent_with(entry.constraints):
+                yield entry
+            elif self.allow_moves:
+                moved = self._move(entry, mat_op, spec)
+                if moved is not None:
+                    yield moved
+
+    def _step(self, workflow: AbstractWorkflow, abstract_name: str,
+              mat_op: MaterializedOperator, input_datasets: list[Dataset],
+              out_names: list[str], metrics: dict[str, float],
+              cost: Any) -> PlanStep:
+        """The step running ``mat_op``, with output datasets sized by the
+        estimator and annotated with the operator's output specs."""
+        outputs = []
+        out_size = self.estimator.output_size(mat_op, input_datasets)
+        out_count = self.estimator.output_count(mat_op, input_datasets)
+        for i, out_name in enumerate(out_names):
+            out_ds = mat_op.output_for(workflow.datasets[out_name], i)
+            out_ds.size = out_size
+            out_ds.count = out_count
+            outputs.append(out_ds)
+        return PlanStep(
+            operator=mat_op,
+            inputs=tuple(input_datasets),
+            outputs=tuple(outputs),
+            estimated_cost=self._estimate(cost),
+            abstract_name=abstract_name,
+            predicted=metrics,
+        )
+
+    def _move_operator(self, src_store: str | None, dst_store: str | None,
+                       src_fmt: str | None,
+                       dst_fmt: str | None) -> MoveOperator:
+        key = (src_store, dst_store, src_fmt, dst_fmt)
+        op = self._move_ops.get(key)
+        if op is None:
+            op = MoveOperator(src_store or "unknown", dst_store or "unknown",
+                              src_fmt, dst_fmt)
+            self._move_ops[key] = op
+        return op
+
+    def _move(self, entry: _Entry, mat_op: MaterializedOperator,
+              spec: MetadataTree) -> _Entry | None:
+        """``checkMove``/``moveCost`` of Algorithm 1: synthesize a transfer.
+
+        Builds a move/transform step converting the dpTable entry's dataset
+        to the format required by ``spec`` (the candidate's input spec, looked
+        up once by the caller).  Returns None if the move is impossible
+        (estimator returned infinity) or pointless (the input spec imposes no
+        constraints to convert to).
+
+        The moved dataset needs no re-check against ``spec``: every spec
+        leaf is written onto it, so the two agree on every shared leaf, and
+        a leaf-versus-subtree clash raises inside ``MetadataTree.set``.
+        """
+        if spec.is_leaf:
+            return None  # nothing known to convert to; mismatch is structural
+        src = entry.dataset
+        src_store = src.store
+        dst_store = spec.get("Engine.FS") or spec.get("Engine") or mat_op.engine
+        metrics = self.estimator.move_metrics(src, src_store, dst_store)
+        move_cost = self._price(metrics)
+        if move_cost is None:
+            return None
+        moved = Dataset(src.name, src.metadata.copy())
+        for path, value in spec.leaves():
+            moved.metadata.set(f"Constraints.{path}", value)
+        step = PlanStep(
+            operator=self._move_operator(src_store, dst_store, src.fmt, moved.fmt),
+            inputs=(src,),
+            outputs=(moved,),
+            estimated_cost=self._estimate(move_cost),
+            predicted=metrics,
+        )
+        # the moved entry is of the source entry's kind (scalar or Pareto)
+        return type(entry)(moved, self._add(entry.cost, move_cost), step,
+                           (entry,))
+
+
+class Planner(_DynamicProgram):
     """Dynamic-programming workflow planner (Algorithm 1)."""
 
     def __init__(
@@ -202,10 +391,8 @@ class Planner:
         record_provenance: bool = False,
         plan_cache: PlanCache | None = None,
     ) -> None:
-        self.library = library
-        self.estimator = estimator if estimator is not None else MetadataCostEstimator()
+        super().__init__(library, estimator, allow_moves)
         self.policy = policy if policy is not None else OptimizationPolicy.min_exec_time()
-        self.allow_moves = allow_moves
         self.use_index = use_index
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: opt-in pre-flight: run the match + dataflow lint passes before
@@ -226,7 +413,6 @@ class Planner:
         self.plan_cache = plan_cache
         #: True when the most recent plan() was served from the cache
         self.last_plan_cached = False
-        self._move_ops: dict[tuple, MoveOperator] = {}
 
     def _cache_token(self) -> tuple:
         """The planner knobs that change plan outcomes, for the cache key.
@@ -342,62 +528,18 @@ class Planner:
         span: Span,
     ) -> MaterializedPlan:
         workflow.validate()
-        dp: dict[str, dict[tuple, _Entry]] = {}
         materialized_results = materialized_results or {}
         prov = PlanProvenance(workflow.name) if self.record_provenance else None
         if self.record_provenance:
             self.last_provenance = prov
 
-        # Initialize dpTable with materialized inputs (lines 5-10).
-        for name, dataset in workflow.datasets.items():
-            if name in materialized_results:
-                ds = materialized_results[name]
-                dp[name] = {ds.signature(): _Entry(ds, 0.0)}
-                if name == workflow.target:
-                    # the replan's target was computed before the failure;
-                    # nothing is left to plan (mirrors the materialized-source
-                    # early return below)
-                    return MaterializedPlan(workflow, [], 0.0)
-            elif dataset.materialized:
-                dp[name] = {dataset.signature(): _Entry(dataset, 0.0)}
-                if name == workflow.target:
-                    return MaterializedPlan(workflow, [], 0.0)
-
-        # Process operators in DAG topological order (line 11 onwards).
-        expansions = 0
-        totals = MatchTotals()
-        for abstract_op in workflow.topological_operators():
-            in_names = workflow.op_inputs[abstract_op.name]
-            out_names = workflow.op_outputs[abstract_op.name]
-            if all(n in materialized_results for n in out_names):
-                continue  # already computed before a failure; nothing to plan
-            expansions += 1
-            if not tracer.enabled:
-                matches = self.library.find_materialized(
-                    abstract_op, available_engines, use_index=self.use_index,
-                    totals=totals,
-                )
-                for mat_op in matches:
-                    self._consider(dp, workflow, abstract_op.name, mat_op,
-                                   in_names, out_names, prov)
-                continue
-            stats = MatchStats()
-            with tracer.span(f"expand:{abstract_op.name}", category="planner",
-                             operator=abstract_op.name) as op_span:
-                matches = self.library.find_materialized(
-                    abstract_op, available_engines, use_index=self.use_index,
-                    stats=stats, totals=totals,
-                )
-                for mat_op in matches:
-                    self._consider(dp, workflow, abstract_op.name, mat_op,
-                                   in_names, out_names, prov)
-                op_span.set_attribute("candidates_matched", stats.matched)
-                op_span.set_attribute("pruned_by_index", stats.pruned_by_index)
-                op_span.set_attribute("engine_filtered", stats.engine_filtered)
-                op_span.set_attribute("tree_rejected", stats.tree_rejected)
-                op_span.set_attribute("dp_datasets", len(dp))
-        totals.flush()
-        _EXPANSIONS.inc(expansions)
+        dp = self._seed(workflow, materialized_results)
+        if workflow.target in dp:
+            # the target is materialized (or, on a replan, was computed
+            # before the failure): nothing is left to plan
+            return MaterializedPlan(workflow, [], 0.0)
+        expansions = self._expand(dp, workflow, available_engines,
+                                  materialized_results, prov)
 
         target_entries = dp.get(workflow.target)
         dp_entries = sum(len(entries) for entries in dp.values())
@@ -417,6 +559,10 @@ class Planner:
         return plan
 
     # -- internals ---------------------------------------------------------
+    def _price(self, metrics: dict[str, float]) -> float | None:
+        cost = self.policy.scalarize(metrics)
+        return None if cost == INFEASIBLE else cost
+
     def _consider(
         self,
         dp: dict[str, dict[tuple, _Entry]],
@@ -438,16 +584,11 @@ class Planner:
                         abstract_name, mat_op, REASON_INPUT_UNPRODUCIBLE))
                 return  # input not producible -> operator infeasible
             # one spec lookup per input, not one per dpTable entry
-            spec = mat_op.input_spec(i)
             best: _Entry | None = None
-            for entry in entries.values():
-                if entry.constraints is None or spec.consistent_with(entry.constraints):
-                    if best is None or entry.cost < best.cost:
-                        best = entry
-                elif self.allow_moves:
-                    moved = self._move(entry, mat_op, spec)
-                    if moved is not None and (best is None or moved.cost < best.cost):
-                        best = moved
+            for option in self._options(entries.values(), mat_op,
+                                        mat_op.input_spec(i)):
+                if best is None or option.cost < best.cost:
+                    best = option
             if best is None:
                 if prov is not None:
                     prov.note(self._candidate(
@@ -458,8 +599,8 @@ class Planner:
 
         input_datasets = [e.dataset for e in input_entries]
         metrics = self.estimator.operator_metrics(mat_op, input_datasets)
-        operator_cost = self.policy.scalarize(metrics)
-        if operator_cost == INFEASIBLE:
+        operator_cost = self._price(metrics)
+        if operator_cost is None:
             if prov is not None:
                 prov.note(self._candidate(
                     abstract_name, mat_op, REASON_COST_INFEASIBLE))
@@ -477,24 +618,10 @@ class Planner:
                 predicted=metrics,
             ))
 
-        outputs = []
-        out_size = self.estimator.output_size(mat_op, input_datasets)
-        out_count = self.estimator.output_count(mat_op, input_datasets)
-        for i, out_name in enumerate(out_names):
-            out_ds = mat_op.output_for(workflow.datasets[out_name], i)
-            out_ds.size = out_size
-            out_ds.count = out_count
-            outputs.append(out_ds)
-        step = PlanStep(
-            operator=mat_op,
-            inputs=tuple(input_datasets),
-            outputs=tuple(outputs),
-            estimated_cost=operator_cost,
-            abstract_name=abstract_name,
-            predicted=metrics,
-        )
+        step = self._step(workflow, abstract_name, mat_op, input_datasets,
+                          out_names, metrics, operator_cost)
         parents = tuple(input_entries)
-        for out_ds in outputs:
+        for out_ds in step.outputs:
             slot = dp.setdefault(out_ds.name, {})
             key = ("__single__",) if self.single_entry_dp else out_ds.signature()
             current = slot.get(key)
@@ -512,49 +639,3 @@ class Planner:
             feasible=False,
             reason=reason,
         )
-
-    def _move_operator(self, src_store: str | None, dst_store: str | None,
-                       src_fmt: str | None,
-                       dst_fmt: str | None) -> MoveOperator:
-        key = (src_store, dst_store, src_fmt, dst_fmt)
-        op = self._move_ops.get(key)
-        if op is None:
-            op = MoveOperator(src_store or "unknown", dst_store or "unknown",
-                              src_fmt, dst_fmt)
-            self._move_ops[key] = op
-        return op
-
-    def _move(self, entry: _Entry, mat_op: MaterializedOperator,
-              spec: "MetadataTree") -> "_Entry | None":
-        """``checkMove``/``moveCost`` of Algorithm 1: synthesize a transfer.
-
-        Builds a move/transform step converting the dpTable entry's dataset
-        to the format required by ``spec`` (the candidate's input spec, looked
-        up once by the caller).  Returns None if the move is impossible
-        (estimator returned infinity) or pointless (the input spec imposes no
-        constraints to convert to).
-        """
-        if spec.is_leaf:
-            return None  # nothing known to convert to; mismatch is structural
-        src = entry.dataset
-        src_store = src.store
-        dst_store = spec.get("Engine.FS") or spec.get("Engine") or mat_op.engine
-        metrics = self.estimator.move_metrics(src, src_store, dst_store)
-        move_cost = self.policy.scalarize(metrics)
-        if move_cost == INFEASIBLE:
-            return None
-        moved = Dataset(src.name, src.metadata.copy())
-        for path, value in spec.leaves():
-            moved.metadata.set(f"Constraints.{path}", value)
-        moved_constraints = moved.metadata.node("Constraints")
-        if moved_constraints is not None and not spec.consistent_with(moved_constraints):
-            return None
-        move_op = self._move_operator(src_store, dst_store, src.fmt, moved.fmt)
-        step = PlanStep(
-            operator=move_op,
-            inputs=(src,),
-            outputs=(moved,),
-            estimated_cost=move_cost,
-            predicted=metrics,
-        )
-        return _Entry(moved, entry.cost + move_cost, step, (entry,))

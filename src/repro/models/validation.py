@@ -122,9 +122,11 @@ def select_best_model(
     scores: dict[str, float] = {}
     for name, factory in zoo.items():
         try:
-            scores[name] = cross_val_score(factory, X, y, n_splits=n_splits, seed=seed)
+            score = cross_val_score(factory, X, y, n_splits=n_splits, seed=seed)
         except (np.linalg.LinAlgError, ValueError):
-            scores[name] = float("inf")
+            score = float("inf")
+        # a NaN score would win min() whenever it came first
+        scores[name] = score if np.isfinite(score) else float("inf")
     winner = min(scores, key=scores.get)
     model = zoo[winner]().fit(X, y)
     return model, winner, scores

@@ -3,15 +3,17 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.match import first_divergence
 from repro.core.metadata import MetadataTree, WILDCARD
 
 label = st.sampled_from(["Engine", "type", "FS", "number", "Algorithm",
                          "name", "Input0", "Output0"])
 value = st.sampled_from(["Spark", "Hadoop", "HDFS", "text", "arff", "1", "2"])
+value_or_wildcard = st.one_of(value, st.just(WILDCARD))
 
 
 @st.composite
-def properties(draw, max_depth=3, max_keys=6):
+def properties(draw, max_depth=3, max_keys=6, values=value):
     n = draw(st.integers(0, max_keys))
     props = {}
     for _ in range(n):
@@ -22,7 +24,7 @@ def properties(draw, max_depth=3, max_keys=6):
         if any(k == key or k.startswith(key + ".") or key.startswith(k + ".")
                for k in props):
             continue
-        props[key] = draw(value)
+        props[key] = draw(values)
     return props
 
 
@@ -101,3 +103,24 @@ def test_copy_equals_original(props):
     clone = tree.copy()
     assert clone == tree
     assert clone.size() == tree.size()
+
+
+@given(properties(values=value_or_wildcard),
+       properties(values=value_or_wildcard))
+@settings(max_examples=150, deadline=None)
+def test_first_divergence_none_iff_matches(a, b):
+    """The lint's near-miss explanation agrees with the planner's match on
+    every pair: wildcards, missing keys and leaf-versus-subtree clashes
+    (two independent trees often hold a leaf and a subtree at one label)."""
+    safe_b = {
+        k: v for k, v in b.items()
+        if not any(k != m and (k.startswith(m + ".") or m.startswith(k + "."))
+                   for m in a)
+    }
+    ta = MetadataTree.from_properties(a)
+    tb = MetadataTree.from_properties(b)
+    superset = MetadataTree.from_properties({**safe_b, **a})
+    for required, provided in ((ta, tb), (tb, ta), (ta, ta), (ta, superset),
+                               (superset, ta)):
+        divergence = first_divergence(required, provided)
+        assert (divergence is None) == required.matches(provided), divergence

@@ -1,5 +1,7 @@
 """Unit tests for the regression model zoo (repro.models)."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from repro.models import (
     rmse,
     select_best_model,
 )
-from repro.models.base import NotFittedError
+from repro.models.base import Model, NotFittedError
 
 RNG = np.random.default_rng(1234)
 
@@ -131,6 +133,19 @@ def test_rbf_network_centers_bounded_by_samples():
     assert model._centers.shape[0] <= 6
 
 
+def test_rbf_network_coincident_centers_use_unit_width():
+    """All centres coincide: no inter-centre distance to average, so the
+    width falls back to 1.0 instead of NaN (and numpy stays quiet)."""
+    X = np.full((8, 2), 3.0)
+    y = np.linspace(0.0, 1.0, 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = RBFNetwork(n_centers=4).fit(X, y)
+        predictions = model.predict(X)
+    assert model._width == 1.0
+    assert np.isfinite(predictions).all()
+
+
 def test_tree_respects_max_depth():
     X, y = nonlinear_data(n=300)
     tree = RegressionTree(max_depth=3).fit(X, y)
@@ -227,6 +242,25 @@ def test_select_best_model_prefers_linear_on_linear_data():
     assert scores[winner] == min(scores.values())
     # On exactly-linear data the linear fits must be near the top.
     assert scores["LinearRegression"] < np.median(list(scores.values()))
+
+
+class _NaNModel(Model):
+    """A model whose every prediction is NaN (so is its CV score)."""
+
+    def _fit(self, X, y):
+        pass
+
+    def _predict(self, X):
+        return np.full(X.shape[0], np.nan)
+
+
+def test_select_best_model_ranks_nan_score_last():
+    X, y = linear_data(n=40, noise=0.01)
+    zoo = {"NaNModel": _NaNModel, "LinearRegression": LinearRegression}
+    model, winner, scores = select_best_model(X, y, zoo=zoo)
+    assert winner == "LinearRegression"
+    assert isinstance(model, LinearRegression)
+    assert scores["NaNModel"] == float("inf")
 
 
 def test_select_best_model_tiny_dataset_falls_back():

@@ -1,6 +1,7 @@
 """Property-based tests for planner invariants (hypothesis)."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,8 +11,10 @@ from repro.core import (
     Dataset,
     MaterializedOperator,
     OperatorLibrary,
+    OptimizationPolicy,
     Planner,
 )
+from repro.core.pareto import ParetoPlanner
 from repro.core.planner import MetadataCostEstimator, PlanningError
 
 STORES = ["s0", "s1", "s2"]
@@ -126,6 +129,21 @@ def test_removing_engines_never_improves_cost(instance, drop):
     except PlanningError:
         return
     assert restricted.cost >= full.cost - 1e-9
+
+
+@given(chain_instance())
+@settings(max_examples=40, deadline=None)
+def test_frontier_extremes_equal_scalar_optima(instance):
+    """The frontier's least execTime and least cost are the costs of the
+    scalar planner's min-time and min-cost plans, moves included."""
+    library, wf, _ = instance
+    estimator = MetadataCostEstimator()
+    frontier = ParetoPlanner(library, estimator).plan_frontier(wf)
+    for metric, policy in (("execTime", OptimizationPolicy.min_exec_time()),
+                           ("cost", OptimizationPolicy.min_cost())):
+        scalar = Planner(library, estimator, policy).plan(wf)
+        best = min(plan.metrics[metric] for plan in frontier)
+        assert best == pytest.approx(scalar.cost, rel=1e-9)
 
 
 # -- index-vs-scan equivalence (the ``None``/wildcard bucket regression) ----
