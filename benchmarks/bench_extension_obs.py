@@ -3,13 +3,20 @@
 The observability layer (repro.obs) instruments the planner's DP expansion,
 the enforcer's per-step execution and the library's match lookups.  An
 always-on tracing layer is only acceptable if it stays out of the hot
-paths, so this benchmark measures the same work twice — once with an
-enabled :class:`~repro.obs.tracing.Tracer` and once with the disabled
-``NULL_TRACER`` fast path — interleaved, min-of-N, on:
+paths, so this benchmark measures the same work twice — on one planner or
+platform whose :class:`~repro.obs.tracing.Tracer` is switched on, then off
+(a disabled tracer is the ``NULL_TRACER`` fast path), in interleaved A/B
+rounds gated on the median per-round ratio — on:
 
-- the planner over a 300-node Montage workflow with 4 engines per stage
-  (the per-abstract-operator span is the planner's only hot-path cost);
+- the planner over a 30-node Montage workflow with 4 engines per stage
+  (the per-abstract-operator span is the planner's only hot-path cost:
+  one span per operator against that operator's DP work);
 - an end-to-end HelloWorld execution (root span + one span per step).
+
+Both are timed as rounds of many alternating off/on calls of a few to a
+few tens of milliseconds: on a shared host one call's time wanders by
+±15% (a lone 300-node plan, ~0.3 s, cannot resolve a 5% gate), and short
+alternating calls see the same drift on both sides.
 
 Expected shape: both stay within 5% of the uninstrumented baseline — the
 disabled-tracer branch skips span construction entirely, and the enabled
@@ -22,6 +29,7 @@ candidate on the NULL path), so their enabled cost is reported as
 informational rows and the 5% gate keeps covering the disabled default.
 """
 
+import statistics
 import time
 
 import pytest
@@ -34,110 +42,136 @@ from repro.obs.tracing import Tracer
 from repro.scenarios import setup_helloworld
 from repro.workflows import generate, synthetic_library
 
-REPEATS = 7
+#: interleaved A/B rounds per surface; the gate reads the median round
+ROUNDS = 21
+#: off/on call pairs per round (a plan or a run: tens of milliseconds)
+PAIRS = 20
 #: accept up to this much instrumented/uninstrumented slowdown
 OVERHEAD_BUDGET = 1.05
 
 
-def _min_of(fn, repeats: int = REPEATS) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+def _paired(off, on, rounds: int = ROUNDS, pairs: int = PAIRS,
+            between=None):
+    """Interleaved A/B timing of two zero-argument callables.
+
+    Each round times ``pairs`` off/on call pairs, alternating which side
+    goes first, so host speed drift (shared CPUs change pace within
+    seconds) hits both sides alike; ``between`` (untimed) runs after every
+    round.  Returns the median per-call seconds of each side and the median
+    of the per-round on/off time ratios — the statistic the gate reads.
+    """
+    per_call = {"off": [], "on": []}
+    ratios = []
+    calls = 0
+    for _ in range(rounds):
+        took = {"off": 0.0, "on": 0.0}
+        for _ in range(pairs * 2):
+            # off, on, on, off, off, on, ...: neither side always goes first
+            side, fn = (("off", off) if (calls + calls // 2) % 2 == 0
+                        else ("on", on))
+            calls += 1
+            start = time.perf_counter()
+            fn()
+            took[side] += time.perf_counter() - start
+        if between is not None:
+            between()
+        per_call["off"].append(took["off"] / pairs)
+        per_call["on"].append(took["on"] / pairs)
+        ratios.append(took["on"] / took["off"])
+    return {"off": statistics.median(per_call["off"]),
+            "on": statistics.median(per_call["on"]),
+            "ratio": statistics.median(ratios)}
+
+
+def _switched(owner, flag: str, run):
+    """(off, on) callables that run ``run`` with ``owner.<flag>`` False /
+    True: both sides measure the very same objects, so no difference in
+    their memory layout or accumulated state can masquerade as overhead
+    (a disabled tracer is exactly the ``NULL_TRACER`` fast path)."""
+    def side(value: bool):
+        def call():
+            setattr(owner, flag, value)
+            run()
+        return call
+    return side(False), side(True)
+
+
+def _montage_planner(**kwargs):
+    workflow = generate("Montage", 30, seed=1)
+    library = synthetic_library(workflow, 4, seed=2)
+    planner = Planner(library, MetadataCostEstimator(), **kwargs)
+    return planner, lambda: planner.plan(workflow)
+
+
+def _helloworld(**kwargs):
+    # plan cache off: every repetition must include the full plan +
+    # execute work whose instrumentation overhead is being measured
+    ires = IReS(plan_cache=False, **kwargs)
+    workflow = setup_helloworld(ires)()
+    ires.execute(workflow)  # warm
+    return ires, lambda: ires.execute(workflow)
 
 
 @pytest.fixture(scope="module")
 def planner_times():
-    workflow = generate("Montage", 300, seed=1)
-    library = synthetic_library(workflow, 4, seed=2)
-    plain = Planner(library, MetadataCostEstimator())
-    traced = Planner(library, MetadataCostEstimator(), tracer=Tracer())
-    # interleave the two measurements so drift hits both alike
-    times = {"off": float("inf"), "on": float("inf")}
-    for _ in range(REPEATS):
-        times["off"] = min(times["off"], _min_of(
-            lambda: plain.plan(workflow), repeats=1))
-        times["on"] = min(times["on"], _min_of(
-            lambda: traced.plan(workflow), repeats=1))
-        traced.tracer.clear()
-    return times
+    planner, plan = _montage_planner(tracer=Tracer())
+    return _paired(*_switched(planner.tracer, "enabled", plan),
+                   between=planner.tracer.clear)
 
 
 @pytest.fixture(scope="module")
 def executor_times():
-    def run(tracer: Tracer | None):
-        # plan cache off: every repetition must include the full plan +
-        # execute work whose instrumentation overhead is being measured
-        ires = IReS(tracer=tracer, plan_cache=False)
-        make = setup_helloworld(ires)
-        workflow = make()
-        return lambda: ires.execute(workflow)
-
-    run_off = run(Tracer(enabled=False))
-    run_on = run(None)  # platform default: enabled tracer on the sim clock
-    times = {"off": float("inf"), "on": float("inf")}
-    for _ in range(REPEATS):
-        times["off"] = min(times["off"], _min_of(run_off, repeats=1))
-        times["on"] = min(times["on"], _min_of(run_on, repeats=1))
-    return times
+    # platform default: one enabled tracer on the sim clock, shared by the
+    # planner and the executor
+    ires, run = _helloworld()
+    return _paired(*_switched(ires.tracer, "enabled", run),
+                   between=ires.tracer.clear)
 
 
 @pytest.fixture(scope="module")
 def ledger_times():
     """Informational: provenance-recording planner + ledger-on executor."""
-    workflow = generate("Montage", 300, seed=1)
-    library = synthetic_library(workflow, 4, seed=2)
-    prov_planner = Planner(library, MetadataCostEstimator(),
-                           record_provenance=True)
-    times = {"planner_prov": float("inf"), "executor_ledger": float("inf")}
-    ires = IReS(ledger=AccuracyLedger(), tracer=Tracer(enabled=False))
-    make = setup_helloworld(ires)
-    hello = make()
-    for _ in range(REPEATS):
-        times["planner_prov"] = min(times["planner_prov"], _min_of(
-            lambda: prov_planner.plan(workflow), repeats=1))
-        times["executor_ledger"] = min(times["executor_ledger"], _min_of(
-            lambda: ires.execute(hello), repeats=1))
-    return times
+    planner, plan = _montage_planner()
+    ires, run = _helloworld(tracer=Tracer(enabled=False),
+                            ledger=AccuracyLedger())
+    return {
+        "planner_prov": _paired(
+            *_switched(planner, "record_provenance", plan), rounds=7),
+        "executor_ledger": _paired(*_switched(ires.ledger, "enabled", run),
+                                   rounds=7),
+    }
 
 
 def test_obs_overhead(benchmark, planner_times, executor_times, ledger_times):
-    rows = []
-    for name, times in (("planner (Montage-300, 4 engines)", planner_times),
-                        ("executor (HelloWorld chain)", executor_times)):
-        ratio = times["on"] / times["off"]
-        rows.append([name, times["off"] * 1e3, times["on"] * 1e3,
-                     100.0 * (ratio - 1.0)])
-    for name, base, on in (
-        ("planner + provenance (info)", planner_times["off"],
-         ledger_times["planner_prov"]),
-        ("executor + ledger (info)", executor_times["off"],
-         ledger_times["executor_ledger"]),
-    ):
-        rows.append([name, base * 1e3, on * 1e3, 100.0 * (on / base - 1.0)])
+    rows = [
+        [name, times["off"] * 1e3, times["on"] * 1e3,
+         100.0 * (times["ratio"] - 1.0)]
+        for name, times in (
+            ("planner (Montage-30, 4 engines)", planner_times),
+            ("executor (HelloWorld chain)", executor_times),
+            ("planner + provenance (info)", ledger_times["planner_prov"]),
+            ("executor + ledger (info)", ledger_times["executor_ledger"]),
+        )
+    ]
     emit(
         "ext_obs_overhead",
-        "Extension: observability overhead (min-of-7 wall time)",
+        "Extension: observability overhead (interleaved A/B, median ratio)",
         ["surface", "off_ms", "on_ms", "overhead_%"],
         rows, widths=[34, 10, 10, 12],
         note=f"(budget: {100 * (OVERHEAD_BUDGET - 1):.0f}% — spans on the "
-             "planner's DP expansion and every executor step; provenance/"
-             "ledger rows are informational, their default-off path is what "
-             "the gate covers)",
+             "planner's DP expansion and every executor step; "
+             f"{ROUNDS} rounds of {PAIRS} off/on call pairs; "
+             "provenance/ledger rows are informational, their default-off "
+             "path is what the gate covers)",
     )
     for name, times in (("planner", planner_times),
                         ("executor", executor_times)):
-        assert times["on"] <= times["off"] * OVERHEAD_BUDGET, (
-            name, times["on"] / times["off"])
+        assert times["ratio"] <= OVERHEAD_BUDGET, (name, times)
 
-    workflow = generate("Montage", 30, seed=1)
-    library = synthetic_library(workflow, 4, seed=2)
-    planner = Planner(library, MetadataCostEstimator(), tracer=Tracer())
+    planner, plan = _montage_planner(tracer=Tracer())
 
     def traced_plan():
-        planner.plan(workflow)
+        plan()
         planner.tracer.clear()
 
     benchmark(traced_plan)

@@ -60,7 +60,7 @@ def refinement_errors(spec, n_runs, seed=0, ssd_at=None):
             errors.append(1.0)  # no knowledge yet: ~100% error
         else:
             errors.append(abs(predicted - record.exec_time) / record.exec_time)
-        refiner.observe(record)
+        refiner.observe(record.algorithm, record.engine)
     return np.array(errors)
 
 

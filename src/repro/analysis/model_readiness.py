@@ -46,7 +46,7 @@ class ModelReadinessPass:
                     hint=f"profile the operator: "
                          f"ProfileSpec({algorithm!r}, {engine!r})",
                 )
-            elif modeler.get(algorithm, engine) is None:
+            elif modeler.fitted(algorithm, engine) is None:  # no CV fit
                 out.report(
                     "IRES031",
                     f"{algorithm}@{engine} has {samples} sample(s) but no "

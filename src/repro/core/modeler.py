@@ -4,6 +4,11 @@ Wraps the repro.models zoo with the paper's selection rule — fit every
 approximation technique, cross-validate, keep the best (D3.3 §2.2.1) — and
 serves estimates to the planner.  Retraining on the growing sample store is
 how online refinement (§2.2.2) manifests.
+
+Refits are lazy: the refiner marks a pair *due* (:meth:`Modeler.mark_due`)
+and the fit runs on the pair's next read (:meth:`Modeler.get` /
+:meth:`Modeler.estimate`), so a platform whose estimator never reads the
+models never pays for cross-validation.
 """
 
 from __future__ import annotations
@@ -13,12 +18,16 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.analysis.runtime_check import LockLike, make_lock
 from repro.engines.monitoring import MetricsCollector
 from repro.models import Model, default_model_zoo, select_best_model
 from repro.models.linear import LinearRegression
 from repro.obs.logging import get_logger
 from repro.obs.metrics import REGISTRY
 from repro.obs.tracing import NULL_TRACER, Tracer
+
+#: samples below which :meth:`Modeler.train` fits nothing
+MIN_FIT_SAMPLES = 2
 
 _LOG = get_logger("modeler")
 _TRAININGS = REGISTRY.counter(
@@ -67,7 +76,7 @@ class OperatorModel:
         return max(float(self.model.predict(x)[0]), 0.0)
 
 
-class Modeler:
+class Modeler:  # thread-shared
     """Trains models from collector samples and answers estimates."""
 
     def __init__(
@@ -84,6 +93,10 @@ class Modeler:
         self.log_space = log_space
         self.models: dict[tuple[str, str], OperatorModel] = {}
         self.tracer = tracer if tracer is not None else NULL_TRACER
+        self._lock: LockLike = make_lock("modeler")
+        #: pairs whose samples changed since their last fit; the next read
+        #: (or :meth:`fit_due`) refits them
+        self._due: set[tuple[str, str]] = set()  # guarded-by: _lock
 
     def train(self, algorithm: str, engine: str,
               window: int | None = None) -> OperatorModel | None:
@@ -91,13 +104,16 @@ class Modeler:
 
         ``window`` restricts the fit to the newest N samples (drift
         recovery).  Returns None when too few samples exist to fit anything.
+        Clears the pair's due flag: the fit reads every sample stored so far.
         """
+        with self._lock:
+            self._due.discard((algorithm, engine))
         with self.tracer.span(f"train:{algorithm}@{engine}", category="modeler",
                               algorithm=algorithm, engine=engine) as span:
             X, y, names = self.collector.training_matrix(algorithm, engine,
                                                          window=window)
             span.set_attribute("samples", int(len(y)))
-            if len(y) < 2:
+            if len(y) < MIN_FIT_SAMPLES:
                 span.set_attribute("skipped", "too few samples")
                 return None
             if self.log_space:
@@ -130,25 +146,54 @@ class Modeler:
                   cv_error=cv_error)
         return fitted
 
+    def mark_due(self, algorithm: str, engine: str) -> bool:
+        """Schedule a refit of a pair for its next read.
+
+        Returns True when the pair has enough samples for that fit to
+        produce a model, i.e. when its estimates are about to change.
+        """
+        with self._lock:
+            self._due.add((algorithm, engine))
+        return self.sample_count(algorithm, engine) >= MIN_FIT_SAMPLES
+
+    def fit_due(self) -> list[tuple[str, str]]:
+        """Fit every due pair now; returns the pairs that got a model."""
+        with self._lock:
+            due = sorted(self._due)
+        return [key for key in due if self.train(*key) is not None]
+
     def get(self, algorithm: str, engine: str) -> OperatorModel | None:
-        """The trained model for a pair, or None."""
+        """The trained model for a pair (fitted first if due), or None."""
+        key = (algorithm, engine)
+        if key in self._due:  # unlocked peek keeps the common read lock-free
+            with self._lock:
+                claimed = key in self._due
+                self._due.discard(key)
+            if claimed:  # one reader fits; concurrent ones read the old model
+                self.train(algorithm, engine)
+        return self.models.get(key)
+
+    def fitted(self, algorithm: str, engine: str) -> OperatorModel | None:
+        """The model as last fitted, never running a due fit."""
         return self.models.get((algorithm, engine))
 
     def estimate(
         self, algorithm: str, engine: str, features: dict[str, float]
     ) -> float | None:
         """Estimated execution time, or None when no model exists yet."""
-        model = self.models.get((algorithm, engine))
+        model = self.get(algorithm, engine)
         if model is None:
             return None
         return model.estimate(features)
 
     def sample_count(self, algorithm: str, engine: str) -> int:
         """Number of successful runs stored for a pair."""
-        return len(self.collector.for_operator(algorithm, engine))
+        return self.collector.sample_count(algorithm, engine)
 
     def drop(self, algorithm: str, engine: str) -> None:
         """Discard a trained model (the what-if baseline of Fig 16.b)."""
+        with self._lock:
+            self._due.discard((algorithm, engine))
         self.models.pop((algorithm, engine), None)
 
     # -- persistence ("the models are stored and updated in an IReS
@@ -203,6 +248,8 @@ class Modeler:
                 cv_scores=dict(meta["cv_scores"]),
                 log_space=bool(meta["log_space"]),
             )
+            with self._lock:  # a loaded model replaces any pending refit
+                self._due.discard((fitted.algorithm, fitted.engine))
             self.models[(fitted.algorithm, fitted.engine)] = fitted
             count += 1
         return count

@@ -265,7 +265,8 @@ class PlanCache:  # thread-shared
         return self
 
     def attach_refiner(self, refiner: "ModelRefiner") -> "PlanCache":
-        """Bump the model epoch whenever a refit actually retrains a model."""
+        """Bump the model epoch whenever a pair's model is about to change:
+        it fell due for a refit, or a drift refit or flush retrained it."""
         refiner.listeners.append(self._on_refit)
         return self
 

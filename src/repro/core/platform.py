@@ -93,9 +93,10 @@ class IReS:
         #: memoized plans for recurring submissions and warm replans; pass
         #: plan_cache=False (or a configured PlanCache instance) to override.
         #: Invalidation wiring: library add/remove bumps the library epoch;
-        #: drift alarms bump the model epoch; model refits bump it only under
-        #: estimator="models" (the oracle estimator ignores trained models,
-        #: so refits cannot change its plans).
+        #: drift alarms bump the model epoch; a pair falling due for a model
+        #: refit bumps it only under estimator="models" (the oracle
+        #: estimator ignores trained models, so refits cannot change its
+        #: plans — and since fits run on read, it never pays for them).
         if plan_cache is True:
             self.plan_cache: PlanCache | None = PlanCache()
         elif plan_cache is False or plan_cache is None:
@@ -210,21 +211,14 @@ class IReS:
         enables cooperative cancellation and wall-clock deadlines;
         ``resume_from`` (a recovered journal) resumes a crashed run.
         """
-        from repro.obs.context import bind_run_id
-
         report = self.executor.execute(
             workflow, cache=self.result_cache if reuse else None,
             control=control, run_id=run_id, resume_from=resume_from)
-        # refinement trainings happen after the run but belong to it — keep
-        # their spans/metrics correlated under the run's id
-        with bind_run_id(report.run_id):
-            for execution in report.executions:
-                if execution.engine != "move" and execution.success:
-                    records = self.cloud.collector.for_operator(
-                        execution.step.operator.algorithm, execution.engine
-                    )
-                    if records:
-                        self.refiner.observe(records[-1])
+        for execution in report.executions:
+            algorithm = execution.step.operator.algorithm
+            if (execution.engine != "move" and execution.success
+                    and algorithm is not None):
+                self.refiner.observe(algorithm, execution.engine)
         return report
 
     def recover_run(self, run_id: str,

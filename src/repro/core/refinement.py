@@ -4,7 +4,10 @@ Every workflow execution feeds its monitored metrics back into the models,
 so estimation accuracy improves while the platform operates and adapts to
 infrastructure changes (the HDD→SSD experiment of Fig 16.b) and temporal
 degradations.  The refiner batches retraining (every ``refit_every``
-observations per pair) since CV over the zoo is the expensive part.
+observations per pair) since CV over the zoo is the expensive part, and
+defers the fit itself to the pair's next read (:meth:`Modeler.get`): the
+execute path only counts, and a platform whose estimator never reads the
+models never fits them.
 """
 
 from __future__ import annotations
@@ -13,11 +16,10 @@ from collections import defaultdict
 from typing import Callable
 
 from repro.core.modeler import Modeler
-from repro.engines.monitoring import MetricRecord
 
 
 class ModelRefiner:
-    """Streams execution records into the modeler, retraining periodically."""
+    """Counts observed runs per pair and schedules their models' refits."""
 
     def __init__(self, modeler: Modeler, refit_every: int = 1) -> None:
         if refit_every < 1:
@@ -25,33 +27,35 @@ class ModelRefiner:
         self.modeler = modeler
         self.refit_every = refit_every
         self._pending: dict[tuple[str, str], int] = defaultdict(int)
+        #: fits this refiner ran itself (drift refits and flushes); fits of
+        #: due pairs run on read and count under ires_modeler_trainings_total
         self.refits = 0
-        #: called with (algorithm, engine) after every successful retrain —
-        #: plan caches hook in here to bump their model epoch
+        #: called with (algorithm, engine) whenever a pair's estimates are
+        #: about to change — it became due for a refit, or a drift refit or
+        #: flush retrained it.  Plan caches hook in here to bump their epoch
         self.listeners: list[Callable[[str, str], None]] = []
 
     def _notify(self, algorithm: str, engine: str) -> None:
         for listener in list(self.listeners):
             listener(algorithm, engine)
 
-    def observe(self, record: MetricRecord) -> bool:
-        """Account one finished run; retrain its model when the batch is due.
+    def observe(self, algorithm: str, engine: str) -> bool:
+        """Account one successful run of a pair; mark it due when its batch is full.
 
-        The record is assumed to already be in the shared collector (the
-        engine put it there); this only drives the retraining cadence.
-        Returns True when a retrain happened.
+        The run's record is assumed to already be in the shared collector
+        (the engine put it there); this only drives the retraining cadence.
+        Returns True when this observation made the pair due for a refit
+        that will produce a model.
         """
-        if not record.success:
-            return False
-        key = (record.algorithm, record.engine)
+        key = (algorithm, engine)
         self._pending[key] += 1
-        if self._pending[key] >= self.refit_every:
-            self._pending[key] = 0
-            if self.modeler.train(*key) is not None:
-                self.refits += 1
-                self._notify(*key)
-                return True
-        return False
+        if self._pending[key] < self.refit_every:
+            return False
+        self._pending[key] = 0
+        due = self.modeler.mark_due(algorithm, engine)
+        if due:
+            self._notify(algorithm, engine)
+        return due
 
     def refit_now(self, algorithm: str, engine: str,
                   window: int | None = None) -> bool:
@@ -60,7 +64,8 @@ class ModelRefiner:
         Drift alarms call this (``DriftDetector(refit=True)``): a ``window``
         restricts training to the newest records so the refit learns the
         post-drift behaviour instead of averaging it with stale history.
-        Resets the pair's pending count.  Returns True when a model was fit.
+        Resets the pair's pending count and clears its due flag.  Returns
+        True when a model was fit.
         """
         self._pending[(algorithm, engine)] = 0
         if self.modeler.train(algorithm, engine, window=window) is not None:
@@ -70,12 +75,17 @@ class ModelRefiner:
         return False
 
     def flush(self) -> int:
-        """Retrain every pair with pending observations; returns retrain count."""
-        done = 0
-        for key, pending in list(self._pending.items()):
-            if pending > 0 and self.modeler.train(*key) is not None:
-                done += 1
+        """Fit every due pair and every pair with pending observations now.
+
+        Returns how many pairs got a model.
+        """
+        pending = {key for key, count in self._pending.items() if count > 0}
+        self._pending.clear()
+        for key in pending:
+            self.modeler.mark_due(*key)
+        fitted = self.modeler.fit_due()
+        for key in fitted:
+            if key in pending:  # due pairs notified when they became due
                 self._notify(*key)
-            self._pending[key] = 0
-        self.refits += done
-        return done
+        self.refits += len(fitted)
+        return len(fitted)

@@ -135,10 +135,16 @@ class MetricsCollector:
 
     def __init__(self) -> None:
         self._records: list[MetricRecord] = []
+        #: successful records per (algorithm, engine), in arrival order — the
+        #: modeler's training samples, read without scanning every record
+        self._successes: dict[tuple[str, str], list[MetricRecord]] = {}
 
     def record(self, record: MetricRecord) -> None:
         """Append one execution record."""
         self._records.append(record)
+        if record.success:
+            self._successes.setdefault(
+                (record.algorithm, record.engine), []).append(record)
 
     def all(self) -> list[MetricRecord]:
         """Every stored record (copy)."""
@@ -151,6 +157,8 @@ class MetricsCollector:
         self, algorithm: str, engine: str | None = None, successes_only: bool = True
     ) -> list[MetricRecord]:
         """Records of one (algorithm, engine) pair."""
+        if engine is not None and successes_only:
+            return list(self._successes.get((algorithm, engine), ()))
         out = []
         for r in self._records:
             if r.algorithm != algorithm:
@@ -161,6 +169,10 @@ class MetricsCollector:
                 continue
             out.append(r)
         return out
+
+    def sample_count(self, algorithm: str, engine: str) -> int:
+        """Number of successful records of one (algorithm, engine) pair."""
+        return len(self._successes.get((algorithm, engine), ()))
 
     def failures(self) -> list[MetricRecord]:
         """Records of failed runs (OOM etc.)."""
@@ -241,7 +253,7 @@ class MetricsCollector:
                 raise ValueError(
                     f"{path}: malformed record on line {i + 1}: {exc}"
                 ) from exc
-            self._records.append(record)
+            self.record(record)
             count += 1
         return count
 

@@ -603,32 +603,38 @@ class WorkflowExecutor:
         before every attempt, so cancellation and deadlines cut retry loops
         short instead of waiting out the backoff budget.
         """
+        # both read operator meta-data: look them up once for the span and
+        # the retry loop alike
+        is_move = step.is_move
+        engine_name = "move" if is_move else (step.engine or "")
         if not self.tracer.enabled:
-            self._run_step_resilient(step, report, payload_paths,
-                                     workflow_name, None, control)
+            self._run_step_resilient(step, is_move, engine_name, report,
+                                     payload_paths, workflow_name, None,
+                                     control)
             return
         with self.tracer.span(
             f"step:{step.operator.name}", category="executor",
             operator=step.operator.name,
-            engine="move" if step.is_move else (step.engine or ""),
+            engine=engine_name,
             abstract=step.abstract_name or "",
             inputs=[d.name for d in step.inputs],
             outputs=[d.name for d in step.outputs],
         ) as span:
-            self._run_step_resilient(step, report, payload_paths,
-                                     workflow_name, span, control)
+            self._run_step_resilient(step, is_move, engine_name, report,
+                                     payload_paths, workflow_name, span,
+                                     control)
 
     def _run_step_resilient(
-        self, step, report, payload_paths, workflow_name, span, control=None
+        self, step, is_move, engine_name, report, payload_paths,
+        workflow_name, span, control=None
     ) -> None:
         resilience = self.resilience
-        if resilience is None or step.is_move:
+        if resilience is None or is_move:
             self._enforce_step(step, report, payload_paths, workflow_name)
             if span is not None and report.executions:
                 span.set_attribute(
                     "sim_seconds", report.executions[-1].sim_seconds)
             return
-        engine_name = step.engine or ""
         policy = resilience.retry_policy
         attempt = 0
         while True:

@@ -95,7 +95,12 @@ class RegressionTree(Model):
                 gain = parent_sse - (left_sse + right_sse)
                 if gain > best_gain:
                     best_gain = gain
-                    threshold = (xs[i - 1] + xs[min(i, n - 1)]) / 2.0
+                    lo, hi = xs[i - 1], xs[min(i, n - 1)]
+                    threshold = (lo + hi) / 2.0
+                    if not lo <= threshold < hi:
+                        # the midpoint of adjacent floats rounds onto one of
+                        # them; splitting there would leave a child empty
+                        threshold = lo
                     best = (int(f), float(threshold))
         return best
 

@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import itertools
 import json
+import threading
 import time
-from contextlib import contextmanager
-from contextvars import ContextVar
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Protocol
+from typing import TYPE_CHECKING, Protocol
 
 if TYPE_CHECKING:
     from repro.engines.clock import SimClock
@@ -55,18 +54,32 @@ ERROR = "error"
 IN_PROGRESS = "in_progress"
 
 
+#: the events of every span that recorded none; :meth:`Span.add_event`
+#: swaps in a list of its own, so this one is never appended to
+_NO_EVENTS: list[dict] = []
+
+
 class Span:
-    """One traced operation: ids, two clocks, attributes, events, status."""
+    """One traced operation: ids, two clocks, attributes, events, status.
+
+    ``with tracer.span(...) as span`` enters the span itself: entry stamps
+    its ids and start times and makes it the parent of spans opened later
+    on the same thread; exit stamps the end and hands it to the tracer.
+    Spans wrap every executor step and planner expansion, so the enabled
+    path allocates as little as it can: no context-manager generator, no
+    per-span context copy, no events list until an event is recorded.
+    """
 
     __slots__ = (
         "name", "category", "span_id", "parent_id", "run_id",
         "start_wall", "end_wall", "start_sim", "end_sim",
         "attributes", "events", "status", "error",
+        "_tracer", "_outer", "_published",
     )
 
-    def __init__(self, name: str, category: str, span_id: int,
-                 parent_id: int | None, run_id: str | None,
-                 start_wall: float, start_sim: float,
+    def __init__(self, name: str, category: str, span_id: int = 0,
+                 parent_id: int | None = None, run_id: str | None = None,
+                 start_wall: float = 0.0, start_sim: float = 0.0,
                  attributes: dict | None = None) -> None:
         self.name = name
         self.category = category
@@ -78,9 +91,54 @@ class Span:
         self.start_sim = start_sim
         self.end_sim = start_sim
         self.attributes = dict(attributes) if attributes else {}
-        self.events: list[dict] = []
+        self.events: list[dict] = _NO_EVENTS
         self.status = IN_PROGRESS
         self.error: str | None = None
+        self._tracer: Tracer | None = None
+        self._outer: Span | None = None
+        self._published = False
+
+    # -- the ``with`` protocol (spans from Tracer.span) ----------------------
+    def __enter__(self) -> "Span":
+        tracer = self._tracer
+        assert tracer is not None, "enter spans made by Tracer.span()"
+        local = tracer._local
+        outer: Span | None = getattr(local, "span", None)
+        self._outer = outer
+        self.span_id = next(tracer._ids)
+        self.parent_id = outer.span_id if outer is not None else None
+        self.run_id = current_run_id()
+        self.start_wall = self.end_wall = time.perf_counter()
+        clock = tracer.clock
+        self.start_sim = self.end_sim = clock.now if clock is not None else 0.0
+        local.span = self
+        # Publish to the profiler's cross-thread registry only while a
+        # profiler is sampling; the flag keeps the pop on exit balanced.
+        if ATTRIBUTION.active:
+            self._published = ATTRIBUTION.push_span(self.name, self.category)
+        for hook in tracer._hooks:
+            hook.span_started(self)
+        return self
+
+    def __exit__(self, exc_type: object, exc: BaseException | None,
+                 traceback: object) -> None:
+        tracer = self._tracer
+        assert tracer is not None
+        if exc is not None:
+            self.status = ERROR
+            self.error = f"{type(exc).__name__}: {exc}"
+        if self._published:
+            ATTRIBUTION.pop_span()
+        tracer._local.span = self._outer
+        self._outer = None
+        self.end_wall = time.perf_counter()
+        clock = tracer.clock
+        self.end_sim = clock.now if clock is not None else 0.0
+        if self.status == IN_PROGRESS:
+            self.status = OK
+        for hook in tracer._hooks:
+            hook.span_finished(self)
+        tracer._store(self)
 
     # -- recording ----------------------------------------------------------
     def set_attribute(self, key: str, value: object) -> None:
@@ -95,6 +153,8 @@ class Span:
         events (retries, breaker trips) interleave correctly with other
         wall-stamped telemetry on the unified run timeline.
         """
+        if self.events is _NO_EVENTS:
+            self.events = []
         self.events.append({
             "name": name,
             "wall": time.perf_counter() if wall is None else wall,
@@ -127,7 +187,7 @@ class Span:
             "status": self.status,
             "error": self.error,
             "attributes": self.attributes,
-            "events": self.events,
+            "events": list(self.events),
         }
 
     def __repr__(self) -> str:
@@ -140,6 +200,12 @@ class _NoopSpan:
     """Shared do-nothing span handed out by a disabled tracer."""
 
     __slots__ = ()
+
+    def __enter__(self) -> "_NoopSpan":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        return None
 
     def set_attribute(self, key: str, value: object) -> None:  # noqa: D102 - no-op
         pass
@@ -176,8 +242,9 @@ class Tracer:
         self.max_spans = max_spans
         self._spans: list[Span] = []
         self._ids = itertools.count(1)
-        self._active: ContextVar[tuple] = ContextVar("ires_span_stack",
-                                                     default=())
+        #: ``.span``: this thread's innermost open span (the next span's
+        #: parent); spans nest per thread
+        self._local = threading.local()
         #: Observers notified at span boundaries (``span_started(span)``
         #: / ``span_finished(span)``), e.g. the allocation tracker.
         self._hooks: list[SpanHook] = []
@@ -197,45 +264,17 @@ class Tracer:
     def _wall(self) -> float:
         return time.perf_counter()
 
-    def _sim(self) -> float:
-        return self.clock.now if self.clock is not None else 0.0
-
     # -- span production ----------------------------------------------------
-    @contextmanager
     def span(self, name: str, category: str = "ires",
-             **attributes: object) -> "Iterator[Span | _NoopSpan]":
-        """Open a child span of whatever span is active in this context."""
+             **attributes: object) -> "Span | _NoopSpan":
+        """A span to enter with ``with``: a child of whatever span is open
+        on this thread at entry."""
         if not self.enabled:
-            yield NOOP_SPAN
-            return
-        stack = self._active.get()
-        parent_id = stack[-1].span_id if stack else None
-        span = Span(name, category, next(self._ids), parent_id,
-                    current_run_id(), self._wall(), self._sim(), attributes)
-        token = self._active.set(stack + (span,))
-        # Publish to the profiler's cross-thread registry only while a
-        # profiler is sampling (push_span returns False otherwise, so
-        # the pop stays balanced).
-        published = ATTRIBUTION.push_span(name, category)
-        for hook in self._hooks:
-            hook.span_started(span)
-        try:
-            yield span
-        except BaseException as exc:
-            span.status = ERROR
-            span.error = f"{type(exc).__name__}: {exc}"
-            raise
-        finally:
-            if published:
-                ATTRIBUTION.pop_span()
-            self._active.reset(token)
-            span.end_wall = self._wall()
-            span.end_sim = self._sim()
-            if span.status == IN_PROGRESS:
-                span.status = OK
-            for hook in self._hooks:
-                hook.span_finished(span)
-            self._store(span)
+            return NOOP_SPAN
+        span = Span(name, category)
+        span.attributes = attributes  # this call's own kwargs: no copy
+        span._tracer = self
+        return span
 
     def record_span(self, name: str, category: str, start_sim: float,
                     end_sim: float, attributes: dict | None = None,
@@ -249,8 +288,7 @@ class Tracer:
         if not self.enabled:
             return None
         if parent is None:
-            stack = self._active.get()
-            parent = stack[-1] if stack else None
+            parent = getattr(self._local, "span", None)
         parent_id = parent.span_id if isinstance(parent, Span) else None
         span = Span(name, category, next(self._ids), parent_id,
                     current_run_id(), self._wall(), start_sim, attributes)

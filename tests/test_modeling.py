@@ -131,10 +131,12 @@ class TestRefinement:
         spec = ProfileSpec("TF_IDF", "Spark", counts=[1e3, 1e4, 1e5, 1e6])
         retrains = 0
         for record in profiler.profile(spec):
-            if refiner.observe(record):
+            if refiner.observe(record.algorithm, record.engine):
                 retrains += 1
-        assert retrains == 1  # 4 observations, refit at the 3rd
-        assert refiner.flush() == 1  # one pending observation left
+        assert retrains == 1  # 4 observations, due at the 3rd
+        assert modeler.fitted("TF_IDF", "Spark") is None  # fit waits for a read
+        assert refiner.flush() == 1  # the due fit, with the pending 4th sample
+        assert modeler.fitted("TF_IDF", "Spark").n_samples == 4
 
     def test_failed_records_ignored(self, cloud):
         modeler = Modeler(cloud.collector)
@@ -142,7 +144,11 @@ class TestRefinement:
         from repro.engines import MetricRecord
 
         bad = MetricRecord("x", "a", "E", float("inf"), 0.0, success=False)
-        assert refiner.observe(bad) is False
+        cloud.collector.record(bad)
+        assert modeler.sample_count("a", "E") == 0
+        # a due pair with no successful samples fits nothing
+        assert refiner.observe("a", "E") is False
+        assert modeler.get("a", "E") is None
 
     def test_bad_refit_every_rejected(self, cloud):
         with pytest.raises(ValueError):
@@ -171,7 +177,7 @@ class TestRefinement:
             if pred is not None and rec is not None:
                 errors.append(abs(pred - rec.exec_time) / rec.exec_time)
             if rec is not None:
-                refiner.observe(rec)
+                refiner.observe(rec.algorithm, rec.engine)
         late = float(np.mean(errors[-10:]))
         assert late < 0.30  # the paper's "below 30% after ~50 runs"
 

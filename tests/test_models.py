@@ -152,6 +152,19 @@ def test_tree_respects_max_depth():
     assert tree.depth() <= 3
 
 
+def test_tree_split_between_adjacent_floats_keeps_both_children():
+    """The midpoint of -5e-324 and 0.0 rounds to -0.0, which does not
+    separate them; the split must still leave both children non-empty
+    (an empty child's mean is NaN, served to every input above it)."""
+    X = np.array([[-1.0], [-5e-324]] + [[0.0]] * 6)
+    y = np.array([-1.0, 1.0] + [0.0] * 6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tree = RegressionTree(min_samples_leaf=1).fit(X, y)
+        predictions = tree.predict(np.array([[-1.0], [0.0], [1.0]]))
+    assert np.isfinite(predictions).all()
+
+
 def test_tree_perfectly_fits_constant_target():
     X = np.arange(20, dtype=float).reshape(-1, 1)
     y = np.full(20, 7.0)
